@@ -20,10 +20,10 @@
 /// greedy-k-colorable graph keeps it greedy-k-colorable (asserted).
 ///
 /// The driver is incremental: it enables the engine's degree cache (so the
-/// tests read cached significant-neighbor counts and masked popcounts
-/// instead of walking neighbor sets) and parks rejected affinities on the
-/// classes that caused the rejection, re-testing one only after a merge
-/// touches a watched class. conservativeCoalesceLegacy keeps the original
+/// tests read the cached significance masks instead of probing the degree
+/// of every neighbor) and parks rejected affinities on the classes that
+/// caused the rejection, re-testing one only after a merge touches a
+/// watched class. conservativeCoalesceLegacy keeps the original
 /// fixpoint re-scan as the differential-testing reference; both produce
 /// identical solutions.
 ///
@@ -54,10 +54,11 @@ enum class ConservativeRule {
 /// on \p WG with \p K registers: the merged class has < k neighbor classes
 /// of degree >= k (common neighbors counted once, with degree reduced by
 /// the merge). When \p WG has its degree cache enabled for this \p K the
-/// count comes from cached counters plus masked popcounts; otherwise the
-/// neighbor sets are walked. On failure, appends to \p Blockers (when
-/// non-null) the classes counted as high-degree — the watch set whose
-/// degree must drop before the test can change its mind.
+/// count comes from the engine's cached sweep
+/// (WorkGraph::briggsHighDegreeBelow); otherwise the neighbor sets are
+/// walked. Both count the same classes. On failure, appends to \p Blockers
+/// (when non-null) the classes counted as high-degree — the watch set
+/// whose degree must drop before the test can change its mind.
 bool briggsTest(const WorkGraph &WG, unsigned U, unsigned V, unsigned K,
                 std::vector<unsigned> *Blockers = nullptr);
 

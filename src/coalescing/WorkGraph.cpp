@@ -70,51 +70,26 @@ void WorkGraph::enableDegreeCache(unsigned K) {
   assert(K > 0 && "degree cache needs a positive k");
   CacheK = K;
   unsigned N = numOriginalVertices();
-  if (Dense) {
-    // The masks are the whole cache: the tests sweep them word-at-a-time,
-    // and significantNeighbors() popcounts on demand, so there are no
-    // per-class counters to maintain through merges.
-    SigWords.assign(ClassEdges.wordsPerRow(), 0);
-    ExactKWords.assign(ClassEdges.wordsPerRow(), 0);
-    for (unsigned V = 0; V < N; ++V)
-      if (Rep[V] == V)
-        setDegreeBits(V, classDegree(V));
-    return;
-  }
-  // Sparse mode keeps the same threshold masks (probed per neighbor by
-  // the stamped-scratch tests) plus the per-class significant-neighbor
-  // counters the O(1) free-pass shortcuts read.
-  SigCount.assign(N, 0);
+  // The masks are the whole cache: the tests read them word-at-a-time or
+  // per neighbor, and significantNeighbors() counts on demand, so there
+  // are no per-class counters to maintain through merges.
   SigWords.assign((static_cast<size_t>(N) + 63) / 64, 0);
   ExactKWords.assign((static_cast<size_t>(N) + 63) / 64, 0);
-  ScratchA.resize(N);
-  ScratchB.resize(N);
+  for (unsigned V = 0; V < N; ++V)
+    if (Rep[V] == V)
+      setDegreeBits(V, classDegree(V));
   // Tiled rows build lazily per class (see tileRowReady); merges maintain
   // whichever rows exist from here on.
-  Tiles.reset(N);
-  for (unsigned V = 0; V < N; ++V) {
-    if (Rep[V] != V)
-      continue;
-    setDegreeBits(V, classDegree(V));
-    if (classDegree(V) < K)
-      continue;
-    for (unsigned X : ClassArena.row(V))
-      ++SigCount[X];
-  }
+  if (!Dense)
+    Tiles.reset(N);
 }
 
 bool WorkGraph::briggsHighDegreeBelowSparseWalk(unsigned CU, unsigned CV,
                                                 unsigned Limit) const {
   assert(!Dense && CacheK && "needs sparse adjacency and an enabled cache");
-  auto SigBit = [this](unsigned C) {
-    return (SigWords[C >> 6] >> (C & 63)) & 1;
-  };
-  auto ExactKBit = [this](unsigned C) {
-    return (ExactKWords[C >> 6] >> (C & 63)) & 1;
-  };
   // One merge-walk over the two sorted rows: commons fall out of the
-  // comparison, so nothing is stamped up front and a failing test stops
-  // mid-row having paid only for the entries it saw.
+  // comparison, so a failing test stops mid-row having paid only for the
+  // entries it saw.
   VertexSpan RU = ClassArena.row(CU), RV = ClassArena.row(CV);
   const unsigned *PU = RU.begin(), *EU = RU.end();
   const unsigned *PV = RV.begin(), *EV = RV.end();
@@ -123,18 +98,18 @@ bool WorkGraph::briggsHighDegreeBelowSparseWalk(unsigned CU, unsigned CV,
     unsigned NU = PU != EU ? *PU : ~0u;
     unsigned NV = PV != EV ? *PV : ~0u;
     if (NU < NV) {
-      if (NU != CV && SigBit(NU) && ++High >= Limit)
+      if (NU != CV && significant(NU) && ++High >= Limit)
         return false;
       ++PU;
     } else if (NV < NU) {
-      if (NV != CU && SigBit(NV) && ++High >= Limit)
+      if (NV != CU && significant(NV) && ++High >= Limit)
         return false;
       ++PV;
     } else {
       // A common neighbor loses one degree in the merge: it stays high
       // only above K, i.e. significant but not exactly K. (Commons are
       // never the endpoints — no row contains its own class.)
-      if (SigBit(NU) && !ExactKBit(NU) && ++High >= Limit)
+      if (significant(NU) && !exactlyK(NU) && ++High >= Limit)
         return false;
       ++PU;
       ++PV;
@@ -143,68 +118,16 @@ bool WorkGraph::briggsHighDegreeBelowSparseWalk(unsigned CU, unsigned CV,
   return true;
 }
 
-void WorkGraph::appendBriggsHighDegreeSparse(unsigned CU, unsigned CV,
-                                             std::vector<unsigned> &Out) const {
-  assert(!Dense && CacheK && "needs sparse adjacency and an enabled cache");
-  auto SigBit = [this](unsigned C) {
-    return (SigWords[C >> 6] >> (C & 63)) & 1;
-  };
-  auto ExactKBit = [this](unsigned C) {
-    return (ExactKWords[C >> 6] >> (C & 63)) & 1;
-  };
-  // Same merge-walk as briggsHighDegreeBelowSparseWalk, collecting instead
-  // of counting. CV's exclusive blockers detour through ScratchList so the
-  // emitted order matches the legacy two-loop walk exactly.
-  ScratchList.clear();
-  VertexSpan RU = ClassArena.row(CU), RV = ClassArena.row(CV);
-  const unsigned *PU = RU.begin(), *EU = RU.end();
-  const unsigned *PV = RV.begin(), *EV = RV.end();
-  while (PU != EU || PV != EV) {
-    unsigned NU = PU != EU ? *PU : ~0u;
-    unsigned NV = PV != EV ? *PV : ~0u;
-    if (NU < NV) {
-      if (NU != CV && SigBit(NU))
-        Out.push_back(NU);
-      ++PU;
-    } else if (NV < NU) {
-      if (NV != CU && SigBit(NV))
-        ScratchList.push_back(NV);
-      ++PV;
-    } else {
-      if (SigBit(NU) && !ExactKBit(NU))
-        Out.push_back(NU);
-      ++PU;
-      ++PV;
-    }
-  }
-  Out.insert(Out.end(), ScratchList.begin(), ScratchList.end());
-}
-
-void WorkGraph::appendGeorgeWitnessesSparse(unsigned CU, unsigned CV,
-                                            std::vector<unsigned> &Out) const {
-  assert(!Dense && CacheK && "needs sparse adjacency and an enabled cache");
-  VertexSpan RV = ClassArena.row(CV);
-  const unsigned *PV = RV.begin(), *EV = RV.end();
-  for (unsigned N : ClassArena.row(CU)) {
-    if (N == CV || !((SigWords[N >> 6] >> (N & 63)) & 1))
-      continue;
-    while (PV != EV && *PV < N)
-      ++PV;
-    if (PV == EV || *PV != N)
-      Out.push_back(N);
-  }
-}
-
 bool WorkGraph::georgeWitnessesEmptySparseWalk(unsigned CU,
                                                unsigned CV) const {
   assert(!Dense && CacheK && "needs sparse adjacency and an enabled cache");
   // Both rows are sorted, so CV-membership of CU's significant neighbors
-  // is a resumable forward probe — no stamping, and a witness exits
-  // having touched only the prefix before it.
+  // is a resumable forward probe, and a witness exits having touched only
+  // the prefix before it.
   VertexSpan RV = ClassArena.row(CV);
   const unsigned *PV = RV.begin(), *EV = RV.end();
   for (unsigned N : ClassArena.row(CU)) {
-    if (N == CV || !((SigWords[N >> 6] >> (N & 63)) & 1))
+    if (N == CV || !significant(N))
       continue;
     while (PV != EV && *PV < N)
       ++PV;
@@ -222,11 +145,6 @@ bool WorkGraph::briggsHighDegreeBelowSparseTiled(unsigned CU, unsigned CV,
   const uint32_t *IU = Tiles.tileIndices(CU), *IV = Tiles.tileIndices(CV);
   const uint64_t *WU = Tiles.tileWords(CU), *WV = Tiles.tileWords(CV);
   const unsigned NU = Tiles.tileCount(CU), NV = Tiles.tileCount(CV);
-  // Endpoint bits are masked out of the sweep — the walk skips the
-  // endpoints, so unlike the dense form no limit correction exists.
-  const size_t CUWord = CU >> 6, CVWord = CV >> 6;
-  const uint64_t CUBit = uint64_t(1) << (CU & 63);
-  const uint64_t CVBit = uint64_t(1) << (CV & 63);
   unsigned High = 0;
   unsigned I = 0, J = 0;
   while (I < NU || J < NV) {
@@ -237,17 +155,12 @@ bool WorkGraph::briggsHighDegreeBelowSparseTiled(unsigned CU, unsigned CV,
     const uint64_t *AV = TJ == T ? WV + size_t(J) * WPT : nullptr;
     for (unsigned W = 0; W < WPT; ++W) {
       uint64_t RU = AU ? AU[W] : 0, RV = AV ? AV[W] : 0;
-      uint64_t Union = RU | RV;
-      if (!Union)
+      if (!(RU | RV))
         continue;
       // A nonzero tile word holds a class id < numOriginalVertices(), so
       // the global word index is always inside the threshold masks.
       size_t GW = size_t(T) * WPT + W;
-      uint64_t B = Union & SigWords[GW] & ~(RU & RV & ExactKWords[GW]);
-      if (GW == CUWord)
-        B &= ~CUBit;
-      if (GW == CVWord)
-        B &= ~CVBit;
+      uint64_t B = dropEndpoints(briggsBits(RU, RV, GW), GW, CU, CV);
       High += static_cast<unsigned>(std::popcount(B));
       if (High >= Limit)
         return false;
@@ -266,8 +179,6 @@ bool WorkGraph::georgeWitnessesEmptySparseTiled(unsigned CU,
   const uint32_t *IU = Tiles.tileIndices(CU), *IV = Tiles.tileIndices(CV);
   const uint64_t *WU = Tiles.tileWords(CU), *WV = Tiles.tileWords(CV);
   const unsigned NU = Tiles.tileCount(CU), NV = Tiles.tileCount(CV);
-  const size_t CVWord = CV >> 6;
-  const uint64_t CVBit = uint64_t(1) << (CV & 63);
   // Only CU's tiles can hold witnesses; merge-walk CV's list alongside.
   unsigned J = 0;
   for (unsigned I = 0; I < NU; ++I) {
@@ -281,10 +192,7 @@ bool WorkGraph::georgeWitnessesEmptySparseTiled(unsigned CU,
       if (!RU)
         continue;
       size_t GW = size_t(T) * WPT + W;
-      uint64_t B = RU & SigWords[GW] & ~(AV ? AV[W] : 0);
-      if (GW == CVWord)
-        B &= ~CVBit;
-      if (B)
+      if (dropEndpoints(georgeBits(RU, AV ? AV[W] : 0, GW), GW, CU, CV))
         return false;
     }
   }
@@ -293,32 +201,62 @@ bool WorkGraph::georgeWitnessesEmptySparseTiled(unsigned CU,
 
 void WorkGraph::appendBriggsHighDegree(unsigned CU, unsigned CV,
                                        std::vector<unsigned> &Out) const {
-  assert(Dense && CacheK && "needs dense adjacency and an enabled cache");
-  const uint64_t *RU = ClassEdges.row(CU), *RV = ClassEdges.row(CV);
-  for (unsigned W = 0; W < ClassEdges.wordsPerRow(); ++W) {
-    // Significant neighbors of the union, minus commons at exactly K
-    // (corrected below the bar by the merge).
-    uint64_t B = (RU[W] | RV[W]) & SigWords[W] & ~(RU[W] & RV[W] &
-                                                   ExactKWords[W]);
-    if ((CU >> 6) == W)
-      B &= ~(uint64_t(1) << (CU & 63));
-    if ((CV >> 6) == W)
-      B &= ~(uint64_t(1) << (CV & 63));
-    for (; B; B &= B - 1)
-      Out.push_back(W * 64 + static_cast<unsigned>(std::countr_zero(B)));
+  assert(CacheK && "degree cache is not enabled");
+  if (Dense) {
+    const uint64_t *RU = ClassEdges.row(CU), *RV = ClassEdges.row(CV);
+    for (unsigned W = 0; W < ClassEdges.wordsPerRow(); ++W) {
+      uint64_t B = dropEndpoints(briggsBits(RU[W], RV[W], W), W, CU, CV);
+      for (; B; B &= B - 1)
+        Out.push_back(W * 64 + static_cast<unsigned>(std::countr_zero(B)));
+    }
+    return;
+  }
+  // The merge-walk of briggsHighDegreeBelowSparseWalk, collecting instead
+  // of counting.
+  VertexSpan RU = ClassArena.row(CU), RV = ClassArena.row(CV);
+  const unsigned *PU = RU.begin(), *EU = RU.end();
+  const unsigned *PV = RV.begin(), *EV = RV.end();
+  while (PU != EU || PV != EV) {
+    unsigned NU = PU != EU ? *PU : ~0u;
+    unsigned NV = PV != EV ? *PV : ~0u;
+    if (NU < NV) {
+      if (NU != CV && significant(NU))
+        Out.push_back(NU);
+      ++PU;
+    } else if (NV < NU) {
+      if (NV != CU && significant(NV))
+        Out.push_back(NV);
+      ++PV;
+    } else {
+      if (significant(NU) && !exactlyK(NU))
+        Out.push_back(NU);
+      ++PU;
+      ++PV;
+    }
   }
 }
 
 void WorkGraph::appendGeorgeWitnesses(unsigned CU, unsigned CV,
                                       std::vector<unsigned> &Out) const {
-  assert(Dense && CacheK && "needs dense adjacency and an enabled cache");
-  const uint64_t *RU = ClassEdges.row(CU), *RV = ClassEdges.row(CV);
-  for (unsigned W = 0; W < ClassEdges.wordsPerRow(); ++W) {
-    uint64_t B = RU[W] & SigWords[W] & ~RV[W];
-    if ((CV >> 6) == W)
-      B &= ~(uint64_t(1) << (CV & 63));
-    for (; B; B &= B - 1)
-      Out.push_back(W * 64 + static_cast<unsigned>(std::countr_zero(B)));
+  assert(CacheK && "degree cache is not enabled");
+  if (Dense) {
+    const uint64_t *RU = ClassEdges.row(CU), *RV = ClassEdges.row(CV);
+    for (unsigned W = 0; W < ClassEdges.wordsPerRow(); ++W) {
+      uint64_t B = dropEndpoints(georgeBits(RU[W], RV[W], W), W, CU, CV);
+      for (; B; B &= B - 1)
+        Out.push_back(W * 64 + static_cast<unsigned>(std::countr_zero(B)));
+    }
+    return;
+  }
+  VertexSpan RV = ClassArena.row(CV);
+  const unsigned *PV = RV.begin(), *EV = RV.end();
+  for (unsigned N : ClassArena.row(CU)) {
+    if (N == CV || !significant(N))
+      continue;
+    while (PV != EV && *PV < N)
+      ++PV;
+    if (PV == EV || *PV != N)
+      Out.push_back(N);
   }
 }
 
@@ -327,8 +265,7 @@ void WorkGraph::briggsWatchWords(unsigned CU, unsigned CV,
   assert(Dense && CacheK && "needs dense adjacency and an enabled cache");
   const uint64_t *RU = ClassEdges.row(CU), *RV = ClassEdges.row(CV);
   for (unsigned W = 0; W < ClassEdges.wordsPerRow(); ++W)
-    Out[W] |= (RU[W] | RV[W]) & SigWords[W] &
-              ~(RU[W] & RV[W] & ExactKWords[W]);
+    Out[W] |= briggsBits(RU[W], RV[W], W);
 }
 
 void WorkGraph::georgeWatchWords(unsigned CU, unsigned CV,
@@ -336,84 +273,22 @@ void WorkGraph::georgeWatchWords(unsigned CU, unsigned CV,
   assert(Dense && CacheK && "needs dense adjacency and an enabled cache");
   const uint64_t *RU = ClassEdges.row(CU), *RV = ClassEdges.row(CV);
   for (unsigned W = 0; W < ClassEdges.wordsPerRow(); ++W)
-    Out[W] |= RU[W] & SigWords[W] & ~RV[W];
+    Out[W] |= georgeBits(RU[W], RV[W], W);
 }
 
 void WorkGraph::updateDegreeCache(unsigned Root, unsigned Loser,
-                                  const std::vector<unsigned> &LoserAdj,
-                                  const std::vector<unsigned> &NewNeighbors,
+                                  unsigned LoserDeg, unsigned RootDegOld,
                                   const std::vector<unsigned> &Commons,
                                   bool Undo) {
+  // A one-step degree change flips a common neighbor's bits only when it
+  // straddles the significance or exactly-K thresholds.
   const unsigned K = CacheK;
-  const unsigned LoserDeg = static_cast<unsigned>(LoserAdj.size());
-  const unsigned RootDegNew = classDegree(Root);
-  const unsigned RootDegOld =
-      RootDegNew - static_cast<unsigned>(NewNeighbors.size());
-
-  if (Dense) {
-    // Dense mode keeps no per-class counters — only the threshold masks.
-    // A one-step degree change flips a class's bits only when it straddles
-    // the significance or exactly-K thresholds.
-    for (unsigned X : Commons) {
-      unsigned NewDeg = classDegree(X);
-      if (NewDeg == K - 1 || NewDeg == K)
-        setDegreeBits(X, Undo ? NewDeg + 1 : NewDeg);
-    }
-    setDegreeBits(Root, Undo ? RootDegOld : RootDegNew);
-    // Degree 0 on merge clears both of the dead loser's mask bits (K > 0).
-    setDegreeBits(Loser, Undo ? LoserDeg : 0);
-    return;
-  }
-
-  // Merge-direction delta; the undo direction negates every step. Unsigned
-  // counter arithmetic is modular, so intermediate wraps cancel exactly.
-  const unsigned D = Undo ? ~0u : 1u;
-
-  // The loser leaves every neighborhood it occupied.
-  if (LoserDeg >= K)
-    for (unsigned X : LoserAdj)
-      SigCount[X] -= D;
-
-  // The root's contribution to its neighbors: if the merge pushed it over
-  // the significance threshold, all merged neighbors gain it; if it was
-  // already significant, only the newly adjacent ones do.
-  if (RootDegNew >= K) {
-    if (RootDegOld < K) {
-      for (unsigned X : ClassArena.row(Root))
-        SigCount[X] += D;
-    } else {
-      for (unsigned X : NewNeighbors)
-        SigCount[X] += D;
-    }
-  }
-
-  // The root gains the significant among its new neighbors (their degrees
-  // are unchanged by the merge: they swapped Loser for Root).
-  for (unsigned X : NewNeighbors)
-    if (classDegree(X) >= K)
-      SigCount[Root] += D;
-
-  // Common neighbors lost one degree. A common that was exactly at K
-  // flipped to insignificant for its whole (post-merge) neighborhood.
-  for (unsigned X : Commons) {
-    if (classDegree(X) == K - 1)
-      for (unsigned Y : ClassArena.row(X))
-        SigCount[Y] -= D;
-  }
-
-  // SigCount[Loser] is deliberately left at its pre-merge value: the class
-  // is dead, and exact LIFO rollback makes the frozen value correct again
-  // the moment the class revives.
-
-  // Sparse mode maintains the same threshold masks as dense mode (the
-  // stamped-scratch sweeps probe them per neighbor). Bit updates depend
-  // only on class degrees, so the undo direction restores them exactly.
   for (unsigned X : Commons) {
     unsigned NewDeg = classDegree(X);
     if (NewDeg == K - 1 || NewDeg == K)
       setDegreeBits(X, Undo ? NewDeg + 1 : NewDeg);
   }
-  setDegreeBits(Root, Undo ? RootDegOld : RootDegNew);
+  setDegreeBits(Root, Undo ? RootDegOld : classDegree(Root));
   // Degree 0 on merge clears both of the dead loser's mask bits (K > 0).
   setDegreeBits(Loser, Undo ? LoserDeg : 0);
 }
@@ -543,9 +418,9 @@ unsigned WorkGraph::merge(unsigned U, unsigned V) {
 
     if (CacheK) {
       // Mirror the relink on whatever tiled rows exist, keeping every
-      // built row equal to its CSR row. The loser's own tiles freeze with
-      // its frozen SigCount when speculating (rollback revives them as
-      // they stand); a committed merge releases the storage.
+      // built row equal to its CSR row. The loser's own tiles freeze when
+      // speculating (rollback revives them as they stand); a committed
+      // merge releases the storage.
       for (unsigned X : LoserAdjList)
         Tiles.clearIfBuilt(X, Loser);
       for (unsigned X : NewNeighbors)
@@ -567,8 +442,10 @@ unsigned WorkGraph::merge(unsigned U, unsigned V) {
 
   if (NeedCommons) {
     if (CacheK)
-      updateDegreeCache(Root, Loser, LoserAdjList, NewNeighbors, Commons,
-                        /*Undo=*/false);
+      updateDegreeCache(
+          Root, Loser, static_cast<unsigned>(LoserAdjList.size()),
+          classDegree(Root) - static_cast<unsigned>(NewNeighbors.size()),
+          Commons, /*Undo=*/false);
     if (Observer)
       Observer->onMergeTouched(Root, Loser, Commons);
   }
@@ -605,19 +482,19 @@ void WorkGraph::undoMerge(MergeRecord &Rec) {
   if (Rec.RankBumped)
     --Rank[Root];
 
-  std::vector<unsigned> Commons;
   if (CacheK) {
+    // Reverse the mask updates while degrees and rows still reflect the
+    // post-merge state they were computed against.
+    std::vector<unsigned> Commons;
     Commons.reserve(Rec.LoserAdj.size() - Rec.NewRootNeighbors.size());
     std::set_difference(Rec.LoserAdj.begin(), Rec.LoserAdj.end(),
                         Rec.NewRootNeighbors.begin(),
                         Rec.NewRootNeighbors.end(),
                         std::back_inserter(Commons));
-  }
-  if (CacheK) {
-    // Reverse the cache deltas while degrees and rows still reflect the
-    // post-merge state the deltas were computed against.
-    updateDegreeCache(Root, Loser, Rec.LoserAdj, Rec.NewRootNeighbors,
-                      Commons, /*Undo=*/true);
+    updateDegreeCache(
+        Root, Loser, static_cast<unsigned>(Rec.LoserAdj.size()),
+        classDegree(Root) - static_cast<unsigned>(Rec.NewRootNeighbors.size()),
+        Commons, /*Undo=*/true);
   }
 
   Members[Root].resize(Rec.RootMembersBefore);

@@ -21,19 +21,19 @@
 ///    for a class's neighbor list. Above the threshold the sorted rows
 ///    live in one pooled adjacency arena (support/AdjacencyArena) — the
 ///    primary representation, updated eagerly on every merge; tests
-///    binary-search the smaller row. The cached Briggs/George sweeps keep
-///    paying off past the threshold via epoch-stamped scratch bit rows
-///    (support/StampedBitRow): one neighbor list is stamped, the other
-///    probed, so a safety test is O(deg(u) + deg(v)) with O(1) membership
-///    checks and no O(classes) clearing.
+///    binary-search the smaller row.
 ///  - Merge undo-log. checkpoint()/rollback() bracket speculative merges so
 ///    probing strategies (brute-force conservative test, exact branch and
 ///    bound, optimistic de-coalescing) no longer deep-copy the graph.
 ///  - Degree cache. enableDegreeCache(k) maintains, through every merge and
-///    rollback, the number of significant neighbor classes (degree >= k) of
-///    each class, plus dense bit masks of the significant and exactly-k
-///    classes. The Briggs and George safety tests read these instead of
-///    re-walking and re-probing neighbor sets.
+///    rollback, two bit masks over class ids: the significant (degree >= k)
+///    and the exactly-k classes. That is the whole cache in both adjacency
+///    modes. One cached entry point per safety question
+///    (briggsHighDegreeBelow, georgeWitnessesEmpty and their append forms)
+///    answers it from the masks: dense mode sweeps them word-parallel
+///    against the class bit rows; sparse mode merge-walks the two sorted
+///    rows with per-neighbor mask probes, or popcounts tiled bit rows for
+///    big tile-dense classes. The endpoints are never counted.
 ///  - Instrumentation. An optional CoalescingTelemetry sink counts engine
 ///    events (merges, rollbacks, interference queries, colorability
 ///    checks); an optional EngineObserver sees the raw event stream and,
@@ -56,7 +56,6 @@
 #include "support/AdjacencyArena.h"
 #include "support/BitRows.h"
 #include "support/CancelToken.h"
-#include "support/StampedBitRow.h"
 #include "support/TiledBitRows.h"
 #include "support/VertexSpan.h"
 
@@ -146,53 +145,62 @@ public:
 
   // --- Degree cache ------------------------------------------------------
 
-  /// Starts maintaining significance state for \p K: bit masks of the
-  /// significant (degree >= \p K) and exactly-K classes in both adjacency
-  /// modes, plus, in sparse mode, a per-class count of significant
-  /// neighbors. The cache is
-  /// updated inside merge() and its undo, so briggsTest/georgeTest read
-  /// masked popcounts (or counters) instead of probing neighbor sets. Must not be enabled while
-  /// merges that predate the call are still subject to rollback (enable
-  /// right after construction, or after the last checkpoint that could
-  /// unwind earlier merges has been committed). Re-enabling with a
-  /// different K rebuilds the cache.
+  /// Starts maintaining the significance masks for \p K: one bit per class
+  /// for degree >= \p K and one for degree == \p K, in both adjacency
+  /// modes. The masks are updated inside merge() and its undo, so the
+  /// cached tests below read them instead of probing neighbor degrees.
+  /// Must not be enabled while merges that predate the call are still
+  /// subject to rollback (enable right after construction, or after the
+  /// last checkpoint that could unwind earlier merges has been committed).
+  /// Re-enabling with a different K rebuilds the cache.
   void enableDegreeCache(unsigned K);
 
   /// The K the degree cache maintains; 0 when disabled.
   unsigned degreeCacheK() const { return CacheK; }
 
   /// Number of significant neighbor classes (degree >= the cache K) of
-  /// class \p C (a representative). Requires an enabled cache. Sparse mode
-  /// reads the incrementally maintained counter; dense mode computes the
-  /// count on demand from the row and the significance mask — merges then
-  /// maintain no per-class counters at all.
+  /// class \p C (a representative), counted on demand from the class's
+  /// adjacency and the significance mask. Requires an enabled cache.
   unsigned significantNeighbors(unsigned C) const {
     assert(CacheK && "degree cache is not enabled");
-    if (!Dense)
-      return SigCount[C];
-    const uint64_t *R = ClassEdges.row(C);
     unsigned S = 0;
-    for (unsigned W = 0; W < ClassEdges.wordsPerRow(); ++W)
-      S += static_cast<unsigned>(std::popcount(R[W] & SigWords[W]));
+    if (Dense) {
+      const uint64_t *R = ClassEdges.row(C);
+      for (unsigned W = 0; W < ClassEdges.wordsPerRow(); ++W)
+        S += static_cast<unsigned>(std::popcount(R[W] & SigWords[W]));
+    } else {
+      for (unsigned N : ClassArena.row(C))
+        S += significant(N);
+    }
     return S;
   }
 
-  /// Dense mode with an enabled cache: true iff the Briggs high-degree
-  /// count for a merge of \p CU and \p CV stays below \p Limit. The count
-  /// is one fused sweep — significant neighbors of the union minus commons
-  /// at exactly K, which drop below the bar when the merge takes their
-  /// shared neighbor (the exactly-K mask is a subset of the significance
-  /// mask, so the subtraction is exact). Adjacent endpoints count
-  /// themselves when significant; callers fold the correction into
-  /// \p Limit. Aborts as soon as the count reaches \p Limit.
+  /// True iff the Briggs high-degree count for a merge of \p CU and \p CV
+  /// stays below \p Limit. Requires an enabled cache. The count is the
+  /// neighbor classes of either endpoint that stay significant after the
+  /// merge: significant neighbors of the union minus commons at exactly K,
+  /// which drop below the bar when the merge takes their shared neighbor
+  /// (the exactly-K mask is a subset of the significance mask, so the
+  /// subtraction is exact). The endpoints are never counted. Aborts as
+  /// soon as the count reaches \p Limit.
+  ///
+  /// Dense mode runs one fused masked sweep over the two bit rows. Sparse
+  /// mode runs the tiled popcount sweep when both classes have (or clear
+  /// the bar for lazily building) tiled bit rows, and the merge-walk
+  /// otherwise; the two are decision-identical (sparse-tiled-parity fuzz
+  /// property).
   bool briggsHighDegreeBelow(unsigned CU, unsigned CV,
                              unsigned Limit) const {
-    assert(Dense && CacheK && "needs dense adjacency and an enabled cache");
+    assert(CacheK && "degree cache is not enabled");
+    if (!Dense) {
+      if (tileRowReady(CU) && tileRowReady(CV))
+        return briggsHighDegreeBelowSparseTiled(CU, CV, Limit);
+      return briggsHighDegreeBelowSparseWalk(CU, CV, Limit);
+    }
     const uint64_t *RU = ClassEdges.row(CU), *RV = ClassEdges.row(CV);
     unsigned High = 0;
     for (unsigned W = 0; W < ClassEdges.wordsPerRow(); ++W) {
-      uint64_t B = (RU[W] | RV[W]) & SigWords[W] &
-                   ~(RU[W] & RV[W] & ExactKWords[W]);
+      uint64_t B = dropEndpoints(briggsBits(RU[W], RV[W], W), W, CU, CV);
       High += static_cast<unsigned>(std::popcount(B));
       if (High >= Limit)
         return false;
@@ -200,84 +208,51 @@ public:
     return true;
   }
 
-  /// Dense mode with an enabled cache: true iff the George test passes for
-  /// merging \p CU into \p CV — no significant neighbor of \p CU (other
-  /// than \p CV itself) lies outside \p CV's neighborhood. Early-exits on
-  /// the first word holding a witness.
+  /// True iff the George test passes for merging \p CU into \p CV: no
+  /// significant neighbor of \p CU (other than \p CV itself) lies outside
+  /// \p CV's neighborhood. Requires an enabled cache. Stops at the first
+  /// witness. Same per-mode kernels as briggsHighDegreeBelow.
   bool georgeWitnessesEmpty(unsigned CU, unsigned CV) const {
-    assert(Dense && CacheK && "needs dense adjacency and an enabled cache");
-    const uint64_t *RU = ClassEdges.row(CU), *RV = ClassEdges.row(CV);
-    for (unsigned W = 0; W < ClassEdges.wordsPerRow(); ++W) {
-      uint64_t B = RU[W] & SigWords[W] & ~RV[W];
-      if ((CV >> 6) == W)
-        B &= ~(uint64_t(1) << (CV & 63));
-      if (B)
-        return false;
+    assert(CacheK && "degree cache is not enabled");
+    if (!Dense) {
+      if (tileRowReady(CU) && tileRowReady(CV))
+        return georgeWitnessesEmptySparseTiled(CU, CV);
+      return georgeWitnessesEmptySparseWalk(CU, CV);
     }
+    const uint64_t *RU = ClassEdges.row(CU), *RV = ClassEdges.row(CV);
+    for (unsigned W = 0; W < ClassEdges.wordsPerRow(); ++W)
+      if (dropEndpoints(georgeBits(RU[W], RV[W], W), W, CU, CV))
+        return false;
     return true;
   }
 
-  /// Sparse mode with an enabled cache: true iff the Briggs high-degree
-  /// count for a merge of \p CU and \p CV stays below \p Limit. The
-  /// endpoints themselves are skipped (walk semantics), so no limit
-  /// correction is needed. Aborts as soon as the count reaches \p Limit.
-  ///
-  /// Dispatches to the tiled popcount sweep when both classes have (or
-  /// clear the degree threshold for lazily building) tiled bit rows, and
-  /// to the stamped-scratch walk otherwise; the two are decision-identical
-  /// (sparse-tiled-parity fuzz property).
-  bool briggsHighDegreeBelowSparse(unsigned CU, unsigned CV,
-                                   unsigned Limit) const {
-    assert(!Dense && CacheK && "needs sparse adjacency and an enabled cache");
-    if (tileRowReady(CU) && tileRowReady(CV))
-      return briggsHighDegreeBelowSparseTiled(CU, CV, Limit);
-    return briggsHighDegreeBelowSparseWalk(CU, CV, Limit);
-  }
+  /// Appends to \p Out, in ascending class order, the classes
+  /// briggsHighDegreeBelow counts for a merge of \p CU and \p CV — the
+  /// watch set of a rejected affinity. Requires an enabled cache.
+  void appendBriggsHighDegree(unsigned CU, unsigned CV,
+                              std::vector<unsigned> &Out) const;
 
-  /// Sparse mode with an enabled cache: true iff the George test passes
-  /// for merging \p CU into \p CV — no significant neighbor of \p CU
-  /// (other than \p CV itself) lies outside \p CV's neighborhood. Same
-  /// tiled-vs-walk dispatch as briggsHighDegreeBelowSparse.
-  bool georgeWitnessesEmptySparse(unsigned CU, unsigned CV) const {
-    assert(!Dense && CacheK && "needs sparse adjacency and an enabled cache");
-    if (tileRowReady(CU) && tileRowReady(CV))
-      return georgeWitnessesEmptySparseTiled(CU, CV);
-    return georgeWitnessesEmptySparseWalk(CU, CV);
-  }
+  /// Appends to \p Out, in ascending class order, every George witness
+  /// against merging \p CU into \p CV — significant neighbors of \p CU
+  /// (other than \p CV) outside \p CV's neighborhood. Requires an enabled
+  /// cache.
+  void appendGeorgeWitnesses(unsigned CU, unsigned CV,
+                             std::vector<unsigned> &Out) const;
 
-  /// The reference sorted-row scan behind briggsHighDegreeBelowSparse: one
-  /// scratch row is stamped with each endpoint's neighbors, so
-  /// common-neighbor checks are O(1) probes instead of binary searches;
-  /// significance and exactly-K come from the threshold masks the degree
-  /// cache maintains in both modes. Public so the parity fuzz property can
-  /// pit it against the tiled sweep directly.
+  /// Sparse-mode Briggs kernel: one merge-walk over the two sorted rows,
+  /// with significance and exactly-K probed per neighbor in the masks.
+  /// Public so the sparse-tiled-parity fuzz property can pit it against
+  /// the tiled sweep directly.
   bool briggsHighDegreeBelowSparseWalk(unsigned CU, unsigned CV,
                                        unsigned Limit) const;
 
-  /// The reference scan behind georgeWitnessesEmptySparse: stamps \p CV's
-  /// row once, then probes it per significant neighbor of \p CU.
+  /// Sparse-mode George kernel: a resumable forward probe of \p CV's
+  /// sorted row per significant neighbor of \p CU.
   bool georgeWitnessesEmptySparseWalk(unsigned CU, unsigned CV) const;
-
-  /// Sparse cached mode: appends the Briggs blockers for a merge of \p CU
-  /// and \p CV — the neighbor classes still significant after the merge —
-  /// in the legacy walk order (\p CU's row first, then \p CV's exclusive
-  /// neighbors). One merge-walk over the two sorted rows with bit-mask
-  /// significance probes; replaces the uncached walk's binary search per
-  /// neighbor when the watch set of a rejected affinity is collected.
-  void appendBriggsHighDegreeSparse(unsigned CU, unsigned CV,
-                                    std::vector<unsigned> &Out) const;
-
-  /// Sparse cached mode: appends every George witness for merging \p CU
-  /// into \p CV — significant neighbors of \p CU outside \p CV's
-  /// neighborhood — in \p CU's row order.
-  void appendGeorgeWitnessesSparse(unsigned CU, unsigned CV,
-                                   std::vector<unsigned> &Out) const;
 
   /// Tiled Briggs sweep (both classes' tile rows must be built, see
   /// tileRowReady): a merge-walk over the two sorted tile lists computing
-  /// the same fused word formula as the dense briggsHighDegreeBelow —
-  /// significant union minus commons at exactly K — with the endpoint bits
-  /// masked out to match the walk's skip-endpoints semantics.
+  /// the same fused word formula as the dense sweep, endpoint bits masked.
   bool briggsHighDegreeBelowSparseTiled(unsigned CU, unsigned CV,
                                         unsigned Limit) const;
 
@@ -313,27 +288,12 @@ public:
 
   /// Sets the class degree at or above which sparse cached tests consider
   /// tiling a class (default DefaultTileMinDegree). Low-degree classes
-  /// stay on the stamped-scratch walk, which is cheaper than materializing
-  /// tiles for a handful of neighbors. 0 tiles everything unconditionally
+  /// stay on the merge-walk, which is cheaper than materializing tiles for
+  /// a handful of neighbors. 0 tiles everything unconditionally
   /// (bypassing the density gate too — the parity fuzz hook), ~0u disables
   /// tiling; decisions are identical at any setting. Takes effect on
   /// future lazy builds — call before the tests run.
   void setTileMinDegree(unsigned MinDegree) { TileMinDegree = MinDegree; }
-
-  /// Dense mode with an enabled cache: appends to \p Out the classes the
-  /// Briggs test counts as high-degree for a merge of \p CU and \p CV —
-  /// neighbors of either class whose merge-corrected degree is >= K
-  /// (commons at exactly K drop below the bar; the endpoints themselves
-  /// are never listed). One masked word sweep.
-  void appendBriggsHighDegree(unsigned CU, unsigned CV,
-                              std::vector<unsigned> &Out) const;
-
-  /// Dense mode with an enabled cache: appends to \p Out the George test's
-  /// witnesses against merging \p CU into \p CV — significant neighbors of
-  /// \p CU that are not adjacent to \p CV (excluding \p CV itself). One
-  /// masked word sweep.
-  void appendGeorgeWitnesses(unsigned CU, unsigned CV,
-                             std::vector<unsigned> &Out) const;
 
   /// Dense mode: number of 64-bit words in a class bitmask row (for
   /// callers holding watch sets as masks).
@@ -342,11 +302,11 @@ public:
     return ClassEdges.wordsPerRow();
   }
 
-  /// Mask forms of the two watch-set sweeps above: OR the same class sets
-  /// into \p Out (maskWords() words) without materializing class ids —
-  /// O(words) stores instead of one push per blocker. Unlike the append
-  /// forms, the endpoint bits are not masked out; callers watch the
-  /// endpoints anyway.
+  /// Dense mode: mask forms of appendBriggsHighDegree and
+  /// appendGeorgeWitnesses. They OR the same class sets into \p Out
+  /// (maskWords() words) without materializing class ids — O(words)
+  /// stores instead of one push per blocker. Unlike the append forms, the
+  /// endpoint bits are not masked out; callers watch the endpoints anyway.
   void briggsWatchWords(unsigned CU, unsigned CV, uint64_t *Out) const;
   void georgeWatchWords(unsigned CU, unsigned CV, uint64_t *Out) const;
 
@@ -452,22 +412,49 @@ private:
   /// is already current for this adjacency epoch.
   const std::vector<unsigned> &materializedNeighbors(unsigned C) const;
 
-  /// Updates (or, with \p Undo, exactly reverses) the degree cache for one
-  /// merge of \p Loser into \p Root. \p LoserAdj and \p NewNeighbors are
-  /// the loser's pre-merge neighbors and the subset of them not previously
-  /// adjacent to Root; \p Commons is their difference (the classes whose
-  /// degree the merge dropped). Must run while the class adjacency reflects
+  /// Updates (or, with \p Undo, exactly reverses) the significance masks
+  /// for one merge of \p Loser (pre-merge degree \p LoserDeg) into \p Root
+  /// (pre-merge degree \p RootDegOld). \p Commons are the classes whose
+  /// degree the merge dropped. Must run while the class adjacency reflects
   /// the POST-merge state: after the structural updates in merge(), before
-  /// them in undoMerge(). Every counter delta depends only on class
-  /// degrees, never on other counters, so the undo direction is the exact
-  /// negation of the merge direction.
-  void updateDegreeCache(unsigned Root, unsigned Loser,
-                         const std::vector<unsigned> &LoserAdj,
-                         const std::vector<unsigned> &NewNeighbors,
+  /// them in undoMerge(). Every bit depends only on class degrees, so the
+  /// undo direction restores the masks exactly.
+  void updateDegreeCache(unsigned Root, unsigned Loser, unsigned LoserDeg,
+                         unsigned RootDegOld,
                          const std::vector<unsigned> &Commons, bool Undo);
 
-  /// Sets the dense significant/exactly-K mask bits of class \p C for
-  /// degree \p Deg.
+  /// Mask probes for class \p C (enabled cache).
+  bool significant(unsigned C) const {
+    return (SigWords[C >> 6] >> (C & 63)) & 1;
+  }
+  bool exactlyK(unsigned C) const {
+    return (ExactKWords[C >> 6] >> (C & 63)) & 1;
+  }
+
+  /// The fused word formulas of every bit-row sweep, for neighbor words
+  /// \p RU and \p RV of the two endpoints at global mask word \p GW.
+  /// Briggs: significant neighbors of the union minus commons at exactly K.
+  /// George: significant neighbors of U outside V's row.
+  uint64_t briggsBits(uint64_t RU, uint64_t RV, size_t GW) const {
+    return (RU | RV) & SigWords[GW] & ~(RU & RV & ExactKWords[GW]);
+  }
+  uint64_t georgeBits(uint64_t RU, uint64_t RV, size_t GW) const {
+    return RU & SigWords[GW] & ~RV;
+  }
+
+  /// Clears the bits of classes \p CU and \p CV from mask word \p B at
+  /// global word \p GW: the cached tests never count the endpoints.
+  static uint64_t dropEndpoints(uint64_t B, size_t GW, unsigned CU,
+                                unsigned CV) {
+    if (GW == CU >> 6)
+      B &= ~(uint64_t(1) << (CU & 63));
+    if (GW == CV >> 6)
+      B &= ~(uint64_t(1) << (CV & 63));
+    return B;
+  }
+
+  /// Sets the significant/exactly-K mask bits of class \p C for degree
+  /// \p Deg.
   void setDegreeBits(unsigned C, unsigned Deg) {
     uint64_t Bit = uint64_t(1) << (C & 63);
     if (Deg >= CacheK)
@@ -512,25 +499,13 @@ private:
   unsigned NumClasses = 0;
 
   /// Degree cache (enableDegreeCache). CacheK == 0 means disabled.
-  /// SigCount[C] (sparse mode only) counts neighbor classes of live class
-  /// C with degree >= CacheK; entries of dead classes freeze at their
-  /// pre-merge value, which is exactly what rollback restores.
-  /// SigWords/ExactKWords (both modes) are one bit per class: degree
-  /// >= CacheK resp. == CacheK, with dead classes cleared. Dense mode
-  /// sweeps them word-parallel against the bit rows; sparse mode probes
-  /// them per neighbor in the stamped-scratch tests.
+  /// SigWords/ExactKWords are one bit per class: degree >= CacheK resp.
+  /// == CacheK, with dead classes cleared. Dense mode sweeps them
+  /// word-parallel against the bit rows; sparse mode probes them per
+  /// neighbor in the merge-walks and sweeps them against tiled rows.
   unsigned CacheK = 0;
-  std::vector<unsigned> SigCount;
   std::vector<uint64_t> SigWords;
   std::vector<uint64_t> ExactKWords;
-  /// Sparse cached tests: reusable scratch bit rows (O(1) clear via epoch
-  /// stamps). Mutable — the tests are logically const.
-  mutable StampedBitRow ScratchA;
-  mutable StampedBitRow ScratchB;
-  /// appendBriggsHighDegreeSparse: holds \p CV's exclusive blockers during
-  /// the merge-walk so they can follow \p CU's in legacy walk order
-  /// without a per-call allocation.
-  mutable std::vector<unsigned> ScratchList;
   /// Sparse cached tests: per-class tiled bit rows (512-bit tiles keyed by
   /// tile index in a pooled arena beside the CSR rows), built lazily for
   /// big tile-dense classes (see tileRowReady) and then maintained through
@@ -538,7 +513,7 @@ private:
   /// equals its CSR row, dead losers freeze for LIFO rollback. Mutable for
   /// the lazy build inside logically-const tests.
   mutable TiledBitRows Tiles;
-  /// See setTileRowReady/setTileMinDegree. The density floor of 8 bits per
+  /// See tileRowReady/setTileMinDegree. The density floor of 8 bits per
   /// spanned tile is where popcounting a tile's 8 words breaks even with
   /// probing its bits one walk entry at a time.
   static constexpr unsigned DefaultTileMinDegree = 64;

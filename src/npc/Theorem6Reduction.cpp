@@ -46,7 +46,7 @@ Theorem6Reduction Theorem6Reduction::build(const Graph &G) {
                                        "d1", "d2", "d3", "b1", "b2", "b3"};
     for (unsigned I = 0; I < StructureSize; ++I)
       R.Problem.Names[Base + I] =
-          "s" + std::to_string(V) + "." + Tags[I];
+          std::string("s").append(std::to_string(V)) + "." + Tags[I];
   }
 
   // External edges: edge (u, v) of G consumes one branch connector on each

@@ -688,7 +688,7 @@ bool testing::checkSparseTiledParity(const Graph &G, unsigned K,
     return true;
   // Two forced-sparse engines run the same script: Tiled answers every
   // cached test through the tile sweeps, Walk never tiles. Decisions must
-  // match at every step, for the dispatching entry points and for the Walk
+  // match at every step, for the cached entry points and for the Walk
   // and Tiled implementations pitted directly against each other on the
   // tiled engine (same rows, two scan strategies).
   WorkGraph Tiled(G, /*DenseThreshold=*/0);
@@ -708,8 +708,8 @@ bool testing::checkSparseTiledParity(const Graph &G, unsigned K,
       // Limits bracketing K exercise both the early-exit and the
       // full-sweep paths of the Briggs count.
       unsigned Limit = 1 + static_cast<unsigned>(Rand.nextBelow(K + 2));
-      bool TiledSays = Tiled.briggsHighDegreeBelowSparse(CU, CV, Limit);
-      bool WalkSays = Walk.briggsHighDegreeBelowSparse(CU, CV, Limit);
+      bool TiledSays = Tiled.briggsHighDegreeBelow(CU, CV, Limit);
+      bool WalkSays = Walk.briggsHighDegreeBelow(CU, CV, Limit);
       bool WalkOnTiled = Tiled.briggsHighDegreeBelowSparseWalk(CU, CV, Limit);
       if (TiledSays != WalkSays || TiledSays != WalkOnTiled) {
         std::ostringstream OS;
@@ -718,8 +718,8 @@ bool testing::checkSparseTiledParity(const Graph &G, unsigned K,
            << " walk=" << WalkSays << " walk-on-tiled=" << WalkOnTiled;
         return fail(Error, OS.str());
       }
-      bool TiledGeorge = Tiled.georgeWitnessesEmptySparse(CU, CV);
-      bool WalkGeorge = Walk.georgeWitnessesEmptySparse(CU, CV);
+      bool TiledGeorge = Tiled.georgeWitnessesEmpty(CU, CV);
+      bool WalkGeorge = Walk.georgeWitnessesEmpty(CU, CV);
       bool WalkGeorgeOnTiled = Tiled.georgeWitnessesEmptySparseWalk(CU, CV);
       if (TiledGeorge != WalkGeorge || TiledGeorge != WalkGeorgeOnTiled) {
         std::ostringstream OS;

@@ -126,11 +126,11 @@ bool checkWorkGraphRollback(const Graph &G, unsigned Steps, Rng &Rand,
 /// tiling every class row (setTileMinDegree(0)), one never tiling
 /// (setTileMinDegree(~0u)) — through the same \p Steps random checkpoint /
 /// merge / rollback script at pressure \p K, and checks that the tiled
-/// popcount sweeps and the stamped-scratch walks return identical
-/// briggsHighDegreeBelowSparse / georgeWitnessesEmptySparse decisions for
-/// random class pairs across a spread of limits, both through the
-/// dispatching entry points and by pitting the Walk and Tiled
-/// implementations directly against each other on the tiled graph.
+/// popcount sweeps and the merge-walks return identical
+/// briggsHighDegreeBelow / georgeWitnessesEmpty decisions for random class
+/// pairs across a spread of limits, both through the cached entry points
+/// and by pitting the Walk and Tiled kernels directly against each other
+/// on the tiled graph.
 bool checkSparseTiledParity(const Graph &G, unsigned K, unsigned Steps,
                             Rng &Rand, std::string *Error);
 

@@ -549,7 +549,7 @@ const std::vector<Property> &testing::allProperties() {
     Props.push_back(
         {"sparse-tiled-parity",
          "tiled sparse bit-row Briggs/George sweeps are decision-identical "
-         "to the stamped-scratch walks through merges and rollbacks",
+         "to the sorted-row merge-walks through merges and rollbacks",
          [](Rng &Rand, const FuzzConfig &Config, uint64_t Trial) {
            CoalescingProblem P =
                generateTiledParityInstance(Rand, Config.MaxSize);

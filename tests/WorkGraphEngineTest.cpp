@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 using namespace rc;
@@ -294,27 +295,51 @@ TEST(WorkGraphDegreeCacheTest, SurvivesRandomMergeAndRollbackScripts) {
 
 TEST(WorkGraphDegreeCacheTest, CachedTestsMatchWalkedTests) {
   // briggsTest/georgeTest take their fast path iff the degree cache is
-  // enabled for the queried k; both paths must agree everywhere.
+  // enabled for the queried k; both paths must agree everywhere, in both
+  // adjacency modes, on the decision and (as sets) on the blockers of a
+  // rejection. Unmerged pairs include adjacent ones, which pins the
+  // never-count-the-endpoints convention of the cached sweeps.
+  auto Sorted = [](std::vector<unsigned> V) {
+    std::sort(V.begin(), V.end());
+    return V;
+  };
   for (uint64_t Seed : {5u, 31u, 77u}) {
-    Rng Rand(Seed);
-    Graph G = randomGraph(26, 0.22, Rand);
-    unsigned K = 3;
-    WorkGraph Cached(G);
-    Cached.enableDegreeCache(K);
-    WorkGraph Walked(G);
-    for (int Step = 0; Step < 60; ++Step) {
-      unsigned U = static_cast<unsigned>(Rand.nextBelow(26));
-      unsigned V = static_cast<unsigned>(Rand.nextBelow(26));
-      if (U == V || Cached.sameClass(U, V))
-        continue;
-      ASSERT_EQ(Cached.degreeCacheK(), K);
-      EXPECT_EQ(briggsTest(Cached, U, V, K), briggsTest(Walked, U, V, K))
-          << "briggs divergence at (" << U << "," << V << ")";
-      EXPECT_EQ(georgeTest(Cached, U, V, K), georgeTest(Walked, U, V, K))
-          << "george divergence at (" << U << "," << V << ")";
-      if (Cached.canMerge(U, V)) {
-        Cached.merge(U, V);
-        Walked.merge(U, V);
+    for (unsigned DenseThreshold : {64u, 0u}) {
+      Rng Rand(Seed);
+      Graph G = randomGraph(26, 0.22, Rand);
+      unsigned K = 3;
+      WorkGraph Cached(G, DenseThreshold);
+      Cached.enableDegreeCache(K);
+      WorkGraph Walked(G, DenseThreshold);
+      for (int Step = 0; Step < 60; ++Step) {
+        unsigned U = static_cast<unsigned>(Rand.nextBelow(26));
+        unsigned V = static_cast<unsigned>(Rand.nextBelow(26));
+        if (U == V || Cached.sameClass(U, V))
+          continue;
+        ASSERT_EQ(Cached.degreeCacheK(), K);
+        std::vector<unsigned> CachedBlockers, WalkedBlockers;
+        bool CachedBriggs = briggsTest(Cached, U, V, K, &CachedBlockers);
+        bool WalkedBriggs = briggsTest(Walked, U, V, K, &WalkedBlockers);
+        EXPECT_EQ(CachedBriggs, WalkedBriggs)
+            << "briggs divergence at (" << U << "," << V
+            << ") threshold " << DenseThreshold;
+        EXPECT_EQ(Sorted(CachedBlockers), Sorted(WalkedBlockers))
+            << "briggs blockers at (" << U << "," << V << ") threshold "
+            << DenseThreshold;
+        CachedBlockers.clear();
+        WalkedBlockers.clear();
+        bool CachedGeorge = georgeTest(Cached, U, V, K, &CachedBlockers);
+        bool WalkedGeorge = georgeTest(Walked, U, V, K, &WalkedBlockers);
+        EXPECT_EQ(CachedGeorge, WalkedGeorge)
+            << "george divergence at (" << U << "," << V
+            << ") threshold " << DenseThreshold;
+        EXPECT_EQ(Sorted(CachedBlockers), Sorted(WalkedBlockers))
+            << "george witnesses at (" << U << "," << V << ") threshold "
+            << DenseThreshold;
+        if (Cached.canMerge(U, V)) {
+          Cached.merge(U, V);
+          Walked.merge(U, V);
+        }
       }
     }
   }
