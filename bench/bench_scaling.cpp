@@ -23,6 +23,7 @@
 #include "graph/Chordal.h"
 #include "graph/ExactColoring.h"
 #include "graph/GreedyColorability.h"
+#include "support/MappedFile.h"
 
 #include <benchmark/benchmark.h>
 
@@ -154,9 +155,11 @@ static void runScaleLoadBinary(benchmark::State &State, MappedFile::Mode M) {
     }
   }
   for (auto _ : State) {
+    MappedFile File;
     CoalescingProblem Q;
     std::string Error;
-    if (!readChallengeFile(Path, Q, &Error, M)) {
+    if (!File.open(Path, &Error, M) ||
+        !readChallengeBytes(File.data(), File.size(), Q, &Error)) {
       State.SkipWithError(Error.c_str());
       break;
     }

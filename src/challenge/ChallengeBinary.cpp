@@ -3,6 +3,7 @@
 #include "challenge/ChallengeBinary.h"
 
 #include "challenge/ChallengeFormat.h"
+#include "support/MappedFile.h"
 
 #include <algorithm>
 #include <cstdint>
@@ -27,23 +28,6 @@ void putU64(std::ostream &OS, uint64_t X) {
   putU32(OS, static_cast<uint32_t>(X >> 32));
 }
 
-bool getU32(std::istream &IS, uint32_t &X) {
-  unsigned char B[4];
-  if (!IS.read(reinterpret_cast<char *>(B), 4))
-    return false;
-  X = static_cast<uint32_t>(B[0]) | (static_cast<uint32_t>(B[1]) << 8) |
-      (static_cast<uint32_t>(B[2]) << 16) | (static_cast<uint32_t>(B[3]) << 24);
-  return true;
-}
-
-bool getU64(std::istream &IS, uint64_t &X) {
-  uint32_t Lo, Hi;
-  if (!getU32(IS, Lo) || !getU32(IS, Hi))
-    return false;
-  X = static_cast<uint64_t>(Lo) | (static_cast<uint64_t>(Hi) << 32);
-  return true;
-}
-
 bool fail(std::string *Error, const std::string &Message) {
   if (Error)
     *Error = Message;
@@ -61,19 +45,20 @@ inline uint64_t loadU64LE(const unsigned char *P) {
          (static_cast<uint64_t>(loadU32LE(P + 4)) << 32);
 }
 
-/// Header count validation shared by the stream and buffer readers. The
+/// Header validation: the shared k/n rule, then the RCBF counts. The
 /// overflow checks run before any size arithmetic or allocation: a corrupt
 /// count must fail loudly here, not wrap 32 + 8*E + 16*A around uint64_t /
 /// size_t and pass a downstream bounds check.
-bool checkHeaderCounts(uint32_t N, uint64_t EdgeCount, uint64_t AffinityCount,
-                       std::string *Error) {
+bool checkHeaderCounts(uint32_t K, uint32_t N, uint64_t EdgeCount,
+                       uint64_t AffinityCount, std::string *Error) {
+  if (!checkInstanceHeader(K, N, Error))
+    return false;
   constexpr uint64_t Max = std::numeric_limits<uint64_t>::max();
   if (EdgeCount > (Max - 32) / 8)
     return fail(Error, "edge count overflows the file size arithmetic");
   if (AffinityCount > (Max - 32 - 8 * EdgeCount) / 16)
     return fail(Error, "affinity count overflows the file size arithmetic");
-  // An edge list longer than n*(n-1)/2 cannot be valid; rejecting here also
-  // stops a corrupt count from driving a giant allocation loop.
+  // An edge list longer than n*(n-1)/2 cannot be valid.
   if (N > 0 && EdgeCount > static_cast<uint64_t>(N) * (N - 1) / 2)
     return fail(Error, "edge count exceeds n*(n-1)/2");
   if (N == 0 && (EdgeCount || AffinityCount))
@@ -115,69 +100,8 @@ void rc::writeChallengeBinary(std::ostream &OS, const CoalescingProblem &P) {
   }
 }
 
-bool rc::readChallengeBinary(std::istream &IS, CoalescingProblem &P,
-                             std::string *Error) {
-  P = CoalescingProblem();
-  char Magic[4];
-  if (!IS.read(Magic, 4))
-    return fail(Error, "truncated header (missing magic)");
-  if (std::memcmp(Magic, ChallengeBinaryMagic, 4) != 0)
-    return fail(Error, "bad magic (not a binary challenge file)");
-  uint32_t Version, K, N;
-  uint64_t EdgeCount, AffinityCount;
-  if (!getU32(IS, Version) || !getU32(IS, K) || !getU32(IS, N) ||
-      !getU64(IS, EdgeCount) || !getU64(IS, AffinityCount))
-    return fail(Error, "truncated header");
-  if (Version != ChallengeBinaryVersion)
-    return fail(Error, "unsupported format version " + std::to_string(Version));
-  if (!checkHeaderCounts(N, EdgeCount, AffinityCount, Error))
-    return false;
-
-  P.K = K;
-  P.G = Graph(N);
-  // Clamp the pre-sizing hint: a stream cannot cheaply prove the declared
-  // count is backed by bytes, and a corrupt header must not drive a giant
-  // up-front allocation. Legitimate oversized rows grow amortized.
-  P.G.reserveVertices(N, std::min<uint64_t>(EdgeCount, uint64_t(1) << 22));
-  uint32_t PrevU = 0, PrevV = 0;
-  for (uint64_t I = 0; I < EdgeCount; ++I) {
-    uint32_t U, V;
-    if (!getU32(IS, U) || !getU32(IS, V))
-      return fail(Error, "truncated edge list at edge " + std::to_string(I));
-    if (U >= N || V >= N)
-      return fail(Error, "edge endpoint out of range at edge " +
-                             std::to_string(I));
-    if (U >= V)
-      return fail(Error, "edge not in canonical u < v form at edge " +
-                             std::to_string(I));
-    if (I > 0 && (U < PrevU || (U == PrevU && V <= PrevV)))
-      return fail(Error, "edges not sorted (or duplicated) at edge " +
-                             std::to_string(I));
-    PrevU = U;
-    PrevV = V;
-    P.G.addEdge(U, V);
-  }
-  P.Affinities.reserve(std::min<uint64_t>(AffinityCount, uint64_t(1) << 20));
-  for (uint64_t I = 0; I < AffinityCount; ++I) {
-    uint32_t U, V;
-    uint64_t Bits;
-    if (!getU32(IS, U) || !getU32(IS, V) || !getU64(IS, Bits))
-      return fail(Error,
-                  "truncated affinity list at affinity " + std::to_string(I));
-    if (U >= N || V >= N || U == V)
-      return fail(Error, "malformed affinity endpoints at affinity " +
-                             std::to_string(I));
-    double W;
-    std::memcpy(&W, &Bits, sizeof(W));
-    P.Affinities.push_back({U, V, W});
-  }
-  if (IS.peek() != std::istream::traits_type::eof())
-    return fail(Error, "trailing bytes after affinity list");
-  return true;
-}
-
-bool rc::readChallengeBinaryBuffer(const unsigned char *Data, size_t Size,
-                                   CoalescingProblem &P, std::string *Error) {
+bool rc::readChallengeBinary(const unsigned char *Data, size_t Size,
+                             CoalescingProblem &P, std::string *Error) {
   P = CoalescingProblem();
   if (Size < 32)
     return fail(Error, Size < 4 ? "truncated header (missing magic)"
@@ -191,11 +115,10 @@ bool rc::readChallengeBinaryBuffer(const unsigned char *Data, size_t Size,
   uint64_t AffinityCount = loadU64LE(Data + 24);
   if (Version != ChallengeBinaryVersion)
     return fail(Error, "unsupported format version " + std::to_string(Version));
-  if (!checkHeaderCounts(N, EdgeCount, AffinityCount, Error))
+  if (!checkHeaderCounts(K, N, EdgeCount, AffinityCount, Error))
     return false;
   // The overflow checks above make this size arithmetic exact; the whole
-  // file is in hand, so truncation and trailing garbage are one compare
-  // instead of per-record stream probes.
+  // file is in hand, so truncation and trailing garbage are one compare.
   uint64_t Need = 32 + 8 * EdgeCount + 16 * AffinityCount;
   if (static_cast<uint64_t>(Size) < Need)
     return fail(Error,
@@ -249,36 +172,21 @@ bool rc::readChallengeBinaryBuffer(const unsigned char *Data, size_t Size,
   return true;
 }
 
-bool rc::readChallengeMapped(const MappedFile &File, CoalescingProblem &P,
-                             std::string *Error) {
-  if (File.size() >= 4 &&
-      std::memcmp(File.data(), ChallengeBinaryMagic, 4) == 0)
-    return readChallengeBinaryBuffer(File.data(), File.size(), P, Error);
+bool rc::readChallengeBytes(const unsigned char *Data, size_t Size,
+                            CoalescingProblem &P, std::string *Error) {
+  if (Size >= 4 && std::memcmp(Data, ChallengeBinaryMagic, 4) == 0)
+    return readChallengeBinary(Data, Size, P, Error);
   // Text: the line parser wants a stream; the copy is fine for the small
   // human-readable format.
   std::istringstream In(
-      std::string(reinterpret_cast<const char *>(File.data()), File.size()));
+      std::string(reinterpret_cast<const char *>(Data), Size));
   return readChallenge(In, P, Error);
 }
 
 bool rc::readChallengeFile(const std::string &Path, CoalescingProblem &P,
-                           std::string *Error, MappedFile::Mode M) {
-  MappedFile File;
-  if (!File.open(Path, Error, M))
-    return false;
-  return readChallengeMapped(File, P, Error);
-}
-
-bool rc::readChallengeAuto(std::istream &IS, CoalescingProblem &P,
                            std::string *Error) {
-  char Magic[4];
-  IS.read(Magic, 4);
-  std::streamsize Got = IS.gcount();
-  bool Binary =
-      Got == 4 && std::memcmp(Magic, ChallengeBinaryMagic, 4) == 0;
-  // Rewind: clear a short-read EOF first so seekg works on tiny files.
-  IS.clear();
-  IS.seekg(0);
-  return Binary ? readChallengeBinary(IS, P, Error)
-                : readChallenge(IS, P, Error);
+  MappedFile File;
+  if (!File.open(Path, Error))
+    return false;
+  return readChallengeBytes(File.data(), File.size(), P, Error);
 }

@@ -28,10 +28,13 @@
 /// A reader written for version 1 rejects any other version rather than
 /// guessing; writers always emit the current version. The format is
 /// little-endian on disk regardless of host byte order (serialization goes
-/// through explicit byte packing, not struct dumps). Readers validate
-/// endpoints, edge ordering, self-loops, truncation, and trailing bytes,
-/// so a corrupt or foreign file fails loudly instead of producing a
-/// plausible-looking instance.
+/// through explicit byte packing, not struct dumps). The one decoder,
+/// readChallengeBinary, parses straight out of an in-memory byte range (a
+/// MappedFile view for files). It validates the header counts (including
+/// checkInstanceHeader's k and n rule, ChallengeFormat.h), endpoints, edge
+/// ordering, self-loops, truncation, and trailing bytes, so a corrupt or
+/// foreign file fails loudly instead of producing a plausible-looking
+/// instance.
 ///
 /// Vertex names are a diagnostic nicety of the text pipeline and are not
 /// carried by the binary format.
@@ -42,9 +45,8 @@
 #define CHALLENGE_CHALLENGEBINARY_H
 
 #include "coalescing/Problem.h"
-#include "support/MappedFile.h"
 
-#include <istream>
+#include <cstddef>
 #include <ostream>
 #include <string>
 
@@ -60,46 +62,31 @@ inline constexpr uint32_t ChallengeBinaryVersion = 1;
 /// (sorted, u < v) order whatever the graph's internal adjacency order.
 void writeChallengeBinary(std::ostream &OS, const CoalescingProblem &P);
 
-/// Parses a binary instance from \p IS (opened in binary mode).
-///
-/// \param [out] Error diagnostic on failure.
-/// \returns true on success, storing the instance into \p P.
-bool readChallengeBinary(std::istream &IS, CoalescingProblem &P,
-                         std::string *Error = nullptr);
-
-/// Reads either format from \p IS by peeking at the magic: a stream that
-/// starts with "RCBF" parses as binary, anything else as challenge text.
-/// Callers opening files should use binary mode so text detection is not
-/// distorted by newline translation.
-bool readChallengeAuto(std::istream &IS, CoalescingProblem &P,
-                       std::string *Error = nullptr);
-
-/// Zero-copy binary parse straight out of an in-memory byte range (no
-/// istream, no per-record read calls, no intermediate vectors): the header
+/// Zero-copy binary parse straight out of \p Size bytes at \p Data (no
+/// per-record read calls, no intermediate vectors): the header
 /// is validated with overflow-checked size arithmetic, the sorted edge
 /// array is adopted in place as the graph's CSR rows (the canonical sort
 /// order means both adjacency directions come out pre-sorted), and the
 /// affinity records are validated and copied once into the final vector.
-/// Identical accept/reject behavior to readChallengeBinary.
-bool readChallengeBinaryBuffer(const unsigned char *Data, size_t Size,
-                               CoalescingProblem &P,
-                               std::string *Error = nullptr);
+/// The parse only borrows the bytes; \p P owns all of its storage.
+///
+/// \param [out] Error diagnostic on failure.
+/// \returns true on success, storing the instance into \p P.
+bool readChallengeBinary(const unsigned char *Data, size_t Size,
+                         CoalescingProblem &P, std::string *Error = nullptr);
 
-/// Reads either format from an open MappedFile view: "RCBF" bytes parse
-/// via the zero-copy readChallengeBinaryBuffer, anything else as challenge
-/// text. The parse only borrows the view; \p P owns all of its storage, so
-/// the MappedFile may be released immediately after this returns.
-bool readChallengeMapped(const MappedFile &File, CoalescingProblem &P,
-                         std::string *Error = nullptr);
+/// Reads either format from an in-memory byte range by content: bytes that
+/// start with "RCBF" parse via readChallengeBinary, anything else as
+/// challenge text (readChallenge).
+bool readChallengeBytes(const unsigned char *Data, size_t Size,
+                        CoalescingProblem &P, std::string *Error = nullptr);
 
 /// Opens \p Path as a read-only MappedFile (mmap with buffered fallback,
-/// see support/MappedFile.h) and reads either format. This is the
-/// path-level counterpart of readChallengeAuto and the preferred loader
-/// everywhere a file path (rather than a stream) is in hand: rc_sweep
-/// --stream manifests, rc_request --instance, rc_convert.
+/// see support/MappedFile.h) and reads either format via
+/// readChallengeBytes. This is the loader everywhere a file path is in
+/// hand: rc_sweep --stream manifests, rc_request --instance, rc_convert.
 bool readChallengeFile(const std::string &Path, CoalescingProblem &P,
-                       std::string *Error = nullptr,
-                       MappedFile::Mode M = MappedFile::Mode::Auto);
+                       std::string *Error = nullptr);
 
 } // namespace rc
 

@@ -24,10 +24,19 @@ static bool fail(std::string *Error, const std::string &Message) {
   return false;
 }
 
+bool rc::checkInstanceHeader(unsigned K, unsigned N, std::string *Error) {
+  if (K == 0)
+    return fail(Error, "k must be at least 1");
+  if (N > MaxInstanceVertices)
+    return fail(Error, "n = " + std::to_string(N) + " exceeds the limit of " +
+                           std::to_string(MaxInstanceVertices) + " vertices");
+  return true;
+}
+
 bool rc::readChallenge(std::istream &IS, CoalescingProblem &P,
                        std::string *Error) {
   P = CoalescingProblem();
-  bool SawN = false;
+  bool SawK = false, SawN = false;
   std::string Line;
   unsigned LineNo = 0;
   while (std::getline(IS, Line)) {
@@ -38,12 +47,22 @@ bool rc::readChallenge(std::istream &IS, CoalescingProblem &P,
       continue;
     auto where = [LineNo] { return "line " + std::to_string(LineNo) + ": "; };
     if (Tag == "k") {
+      if (SawK)
+        return fail(Error, where() + "duplicate 'k' line");
       if (!(LS >> P.K))
         return fail(Error, where() + "expected register count after 'k'");
+      SawK = true;
     } else if (Tag == "n") {
+      if (SawN)
+        return fail(Error, where() + "duplicate 'n' line");
       unsigned N;
       if (!(LS >> N))
         return fail(Error, where() + "expected vertex count after 'n'");
+      // Checked before Graph(N) allocates; a 'k' that is still to come is
+      // checked with the complete header at the end.
+      std::string HeaderError;
+      if (!checkInstanceHeader(SawK ? P.K : 1, N, &HeaderError))
+        return fail(Error, where() + HeaderError);
       P.G = Graph(N);
       SawN = true;
     } else if (Tag == "e") {
@@ -69,5 +88,7 @@ bool rc::readChallenge(std::istream &IS, CoalescingProblem &P,
   }
   if (!SawN)
     return fail(Error, "missing 'n' line");
-  return true;
+  if (!SawK)
+    return fail(Error, "missing 'k' line");
+  return checkInstanceHeader(P.K, P.G.numVertices(), Error);
 }

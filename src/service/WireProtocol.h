@@ -37,6 +37,13 @@
 ///   n 8
 ///   ...
 ///
+/// The instance obeys the text format's own rules (ChallengeFormat.h):
+/// `k` and `n` exactly once each, k >= 1 and n <= MaxInstanceVertices. A
+/// payload that breaks them is answered BadRequest before any solver or
+/// graph allocation sees it. Every payload buildRequestPayload writes for
+/// a valid instance already obeys them, so the grammar version is
+/// unchanged.
+///
 /// Response payloads are JSON: {"rcs":1,"status":"<wire status>", then
 /// optional "message", "bad_key"/"bad_value" (BadOption), and "result"
 /// (the standard outcome object, exactly what writeOutcomeJson emits) for
@@ -116,7 +123,8 @@ std::string buildRequestPayload(const CoalescingProblem &P,
 
 /// Parses a request payload; strict: the version line must come first,
 /// header keys are known and unique, `spec` and `instance` are required,
-/// and the instance must parse as challenge text.
+/// and the instance must parse as challenge text (readChallenge, header
+/// rule included).
 /// \returns false with a diagnostic in \p Error otherwise.
 bool parseRequestPayload(const std::string &Payload, WireRequest &Request,
                          std::string *Error = nullptr);

@@ -391,8 +391,8 @@ static bool checkWorklistParityOnInstance(const CoalescingProblem &P,
 }
 
 /// Format round-trip oracle: the text and binary serializations must both
-/// reconstruct the instance exactly, and the content-sniffing reader must
-/// classify both streams correctly. "Exactly" is judged on the canonical
+/// reconstruct the instance exactly, and the content-sniffing reader
+/// (readChallengeBytes) must classify both renderings correctly. "Exactly" is judged on the canonical
 /// binary rendering (sorted edge set, affinity list, k, n), which is the
 /// same instance-identity the digest cache key uses.
 static bool checkFormatRoundTripOnInstance(const CoalescingProblem &P,
@@ -404,12 +404,16 @@ static bool checkFormatRoundTripOnInstance(const CoalescingProblem &P,
   };
   const std::string Want = canonical(P);
 
-  std::ostringstream Bin;
-  writeChallengeBinary(Bin, P);
-  std::istringstream BinIn(Bin.str());
+  auto readBack = [](const std::string &Bytes, CoalescingProblem &Q,
+                     std::string *ReadError) {
+    return readChallengeBytes(
+        reinterpret_cast<const unsigned char *>(Bytes.data()), Bytes.size(), Q,
+        ReadError);
+  };
+
   CoalescingProblem FromBinary;
   std::string ReadError;
-  if (!readChallengeAuto(BinIn, FromBinary, &ReadError)) {
+  if (!readBack(Want, FromBinary, &ReadError)) {
     if (Error)
       *Error = "format-roundtrip: binary re-read failed: " + ReadError;
     return false;
@@ -422,9 +426,8 @@ static bool checkFormatRoundTripOnInstance(const CoalescingProblem &P,
 
   std::ostringstream Text;
   writeChallenge(Text, P);
-  std::istringstream TextIn(Text.str());
   CoalescingProblem FromText;
-  if (!readChallengeAuto(TextIn, FromText, &ReadError)) {
+  if (!readBack(Text.str(), FromText, &ReadError)) {
     if (Error)
       *Error = "format-roundtrip: text re-read failed: " + ReadError;
     return false;

@@ -82,6 +82,25 @@ TEST(ChallengeFormatTest, ParseErrors) {
   std::istringstream SelfLoop("n 2\ne 1 1\n");
   EXPECT_FALSE(readChallenge(SelfLoop, P, &Error));
 
+  // Header rules: k and n exactly once, k >= 1, n within the ceiling.
+  const struct {
+    std::string Text;
+    const char *Needle;
+  } HeaderCases[] = {
+      {"k 3\nn 10\na 8 9 1.0\nn 2\n", "duplicate 'n'"},
+      {"k 3\nn 4\nk 2\n", "duplicate 'k'"},
+      {"n 0\n", "missing 'k'"},
+      {"k 0\nn 3\n", "k must be at least 1"},
+      {"n 3\nk 0\n", "k must be at least 1"},
+      {"k 2\nn " + std::to_string(MaxInstanceVertices + 1) + "\n",
+       "exceeds the limit"},
+  };
+  for (const auto &C : HeaderCases) {
+    std::istringstream In(C.Text);
+    EXPECT_FALSE(readChallenge(In, P, &Error)) << C.Text;
+    EXPECT_NE(Error.find(C.Needle), std::string::npos) << C.Text << Error;
+  }
+
   std::istringstream Good("# c\nn 2\nk 2\ne 0 1\na 0 1 2.5\n");
   EXPECT_TRUE(readChallenge(Good, P, &Error)) << Error;
   EXPECT_EQ(P.G.numEdges(), 1u);

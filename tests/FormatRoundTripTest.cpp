@@ -34,13 +34,26 @@ std::string canonicalBytes(const CoalescingProblem &P) {
   return OS.str();
 }
 
+const unsigned char *bytesOf(const std::string &S) {
+  return reinterpret_cast<const unsigned char *>(S.data());
+}
+
 /// Serializes to binary and parses it back, expecting success.
 CoalescingProblem binaryRoundTrip(const CoalescingProblem &P) {
-  std::istringstream In(canonicalBytes(P));
+  const std::string Bytes = canonicalBytes(P);
   CoalescingProblem Q;
   std::string Error;
-  EXPECT_TRUE(readChallengeBinary(In, Q, &Error)) << Error;
+  EXPECT_TRUE(readChallengeBinary(bytesOf(Bytes), Bytes.size(), Q, &Error))
+      << Error;
   return Q;
+}
+
+/// Reads \p Path through a MappedFile view realized in mode \p M.
+bool readFileAs(const std::string &Path, MappedFile::Mode M,
+                CoalescingProblem &P, std::string *Error) {
+  MappedFile File;
+  return File.open(Path, Error, M) &&
+         readChallengeBytes(File.data(), File.size(), P, Error);
 }
 
 CoalescingProblem parseText(const std::string &Text) {
@@ -141,10 +154,10 @@ TEST(FormatRoundTripTest, CommentHeavyTextAutoDetects) {
                            "e 0 1\n"
                            "# trailing comment\n"
                            "a 1 2 4.25\n";
-  std::istringstream In(Text);
   CoalescingProblem P;
   std::string Error;
-  ASSERT_TRUE(readChallengeAuto(In, P, &Error)) << Error;
+  ASSERT_TRUE(readChallengeBytes(bytesOf(Text), Text.size(), P, &Error))
+      << Error;
   EXPECT_EQ(P.K, 2u);
   EXPECT_TRUE(P.G.hasEdge(0, 1));
   ASSERT_EQ(P.Affinities.size(), 1u);
@@ -153,10 +166,11 @@ TEST(FormatRoundTripTest, CommentHeavyTextAutoDetects) {
 
 TEST(FormatRoundTripTest, BinaryAutoDetects) {
   CoalescingProblem P = parseText("k 2\nn 4\ne 0 3\ne 1 2\na 0 1 2\n");
-  std::istringstream In(canonicalBytes(P));
+  const std::string Bytes = canonicalBytes(P);
   CoalescingProblem Q;
   std::string Error;
-  ASSERT_TRUE(readChallengeAuto(In, Q, &Error)) << Error;
+  ASSERT_TRUE(readChallengeBytes(bytesOf(Bytes), Bytes.size(), Q, &Error))
+      << Error;
   EXPECT_EQ(canonicalBytes(Q), canonicalBytes(P));
 }
 
@@ -170,9 +184,9 @@ TEST(FormatRoundTripTest, TextBinaryTextIsStable) {
 }
 
 TEST(FormatRoundTripTest, MappedReaderMatchesBufferedOnGolden24) {
-  // The zero-copy mmap path, the explicit buffered fallback, and the
-  // istream reader must reconstruct byte-identical instances for the whole
-  // golden-24 corpus (the same 24 seeds strategy_stats.golden records).
+  // The zero-copy mmap path and the explicit buffered fallback must
+  // reconstruct byte-identical instances for the whole golden-24 corpus
+  // (the same 24 seeds strategy_stats.golden records).
   SweepManifest Manifest;
   std::string Error;
   ASSERT_TRUE(loadSweepManifest(std::string(RC_TEST_DATA_DIR) +
@@ -187,8 +201,7 @@ TEST(FormatRoundTripTest, MappedReaderMatchesBufferedOnGolden24) {
     std::string Path = writeTempBinary(LP.Problem, "golden24");
     CoalescingProblem Mapped, Buffered;
     ASSERT_TRUE(readChallengeFile(Path, Mapped, &Error)) << Error;
-    ASSERT_TRUE(readChallengeFile(Path, Buffered, &Error,
-                                  MappedFile::Mode::Buffered))
+    ASSERT_TRUE(readFileAs(Path, MappedFile::Mode::Buffered, Buffered, &Error))
         << Error;
     EXPECT_EQ(canonicalBytes(Mapped), Want) << Entry.label();
     EXPECT_EQ(canonicalBytes(Buffered), Want) << Entry.label();
@@ -198,9 +211,9 @@ TEST(FormatRoundTripTest, MappedReaderMatchesBufferedOnGolden24) {
 
 TEST(FormatRoundTripTest, MappedMatchesBuffered65k) {
   // The streaming-scale instance (tests/manifests/scale65k.manifest): the
-  // mapped view must actually engage mmap on this platform, and all three
-  // readers — zero-copy buffer parse, forced-buffered fallback, istream —
-  // must agree byte for byte.
+  // mapped view must actually engage mmap on this platform, and the
+  // decoder must read the same instance out of it as out of the
+  // forced-buffered fallback, byte for byte.
   SweepManifest Manifest;
   std::string Error;
   ASSERT_TRUE(loadSweepManifest(std::string(RC_TEST_DATA_DIR) +
@@ -221,19 +234,15 @@ TEST(FormatRoundTripTest, MappedMatchesBuffered65k) {
   EXPECT_TRUE(File.isMapped());
 #endif
   CoalescingProblem FromMapped;
-  ASSERT_TRUE(readChallengeMapped(File, FromMapped, &Error)) << Error;
+  ASSERT_TRUE(readChallengeBytes(File.data(), File.size(), FromMapped, &Error))
+      << Error;
   EXPECT_EQ(canonicalBytes(FromMapped), Want);
 
   CoalescingProblem FromBuffered;
-  ASSERT_TRUE(readChallengeFile(Path, FromBuffered, &Error,
-                                MappedFile::Mode::Buffered))
+  ASSERT_TRUE(
+      readFileAs(Path, MappedFile::Mode::Buffered, FromBuffered, &Error))
       << Error;
   EXPECT_EQ(canonicalBytes(FromBuffered), Want);
-
-  std::ifstream In(Path, std::ios::binary);
-  CoalescingProblem FromStream;
-  ASSERT_TRUE(readChallengeBinary(In, FromStream, &Error)) << Error;
-  EXPECT_EQ(canonicalBytes(FromStream), Want);
   std::remove(Path.c_str());
 }
 
@@ -241,25 +250,13 @@ TEST(FormatRoundTripTest, RejectsCorruptInputs) {
   CoalescingProblem P = parseText("k 2\nn 4\ne 0 3\ne 1 2\na 0 1 2\n");
   const std::string Good = canonicalBytes(P);
 
-  // Every corruption must be refused by both binary readers: the istream
-  // parser and the zero-copy buffer parser behind the mmap path.
-  auto rejects = [](std::string Bytes, const char *What) {
-    {
-      std::istringstream In(Bytes);
-      CoalescingProblem Q;
-      std::string Error;
-      EXPECT_FALSE(readChallengeBinary(In, Q, &Error)) << What;
-      EXPECT_FALSE(Error.empty()) << What;
-    }
-    {
-      CoalescingProblem Q;
-      std::string Error;
-      EXPECT_FALSE(readChallengeBinaryBuffer(
-          reinterpret_cast<const unsigned char *>(Bytes.data()),
-          Bytes.size(), Q, &Error))
-          << What;
-      EXPECT_FALSE(Error.empty()) << What;
-    }
+  // Every corruption must be refused with a diagnostic.
+  auto rejects = [](const std::string &Bytes, const char *What) {
+    CoalescingProblem Q;
+    std::string Error;
+    EXPECT_FALSE(readChallengeBinary(bytesOf(Bytes), Bytes.size(), Q, &Error))
+        << What;
+    EXPECT_FALSE(Error.empty()) << What;
   };
 
   rejects("", "empty stream");
@@ -304,6 +301,22 @@ TEST(FormatRoundTripTest, RejectsCorruptInputs) {
     for (int I = 0; I < 8; ++I)
       Bad[24 + I] = static_cast<char>(0xFF); // affinity count ~ 2^64
     rejects(Bad, "affinity count overflows size arithmetic");
+  }
+  {
+    std::string Bad = Good;
+    Bad[8] = 0; // k = 0: no register to color with
+    rejects(Bad, "zero registers");
+  }
+  {
+    // A bare 32-byte header declaring one vertex over the ceiling and no
+    // edges or affinities: refused before the graph is sized from it.
+    std::string Bad = Good.substr(0, 32);
+    uint32_t N = MaxInstanceVertices + 1;
+    for (int I = 0; I < 4; ++I)
+      Bad[12 + I] = static_cast<char>(N >> (8 * I));
+    for (int I = 16; I < 32; ++I)
+      Bad[I] = 0;
+    rejects(Bad, "vertex count above the ceiling");
   }
 }
 

@@ -269,6 +269,19 @@ TEST(WireProtocolTest, RequestGrammarIsStrict) {
       {"missing instance", "rcq 1\nspec briggs\n", "instance"},
       {"malformed instance", "rcq 1\nspec briggs\ninstance\nnot a graph\n",
        "malformed instance"},
+      {"instance with duplicate n",
+       "rcq 1\nspec irc\ninstance\nk 3\nn 10\na 8 9 1.0\nn 2\n",
+       "duplicate 'n'"},
+      {"instance with duplicate k",
+       "rcq 1\nspec briggs\ninstance\nk 3\nn 4\nk 5\n", "duplicate 'k'"},
+      {"instance without k", "rcq 1\nspec briggs\ninstance\nn 0\n",
+       "missing 'k'"},
+      {"instance with k 0", "rcq 1\nspec briggs\ninstance\nk 0\nn 4\n",
+       "k must be at least 1"},
+      {"instance above the vertex ceiling",
+       "rcq 1\nspec briggs\ninstance\nk 3\nn " +
+           std::to_string(MaxInstanceVertices + 1) + "\n",
+       "exceeds the limit"},
   };
   for (const Case &C : Cases) {
     WireRequest Request;
@@ -541,6 +554,18 @@ TEST(ServiceLoopTest, MalformedRequestPayloadAnsweredBadRequest) {
   std::vector<LabeledProblem> Corpus = goldenChallengeCorpus();
   std::ostringstream In;
   writeFrame(In, FrameType::Request, "rcq 1\nspec briggs\n"); // No instance.
+  // Instances that once reached the solvers and aborted the daemon: a
+  // second 'n' shrinking the graph under an accepted affinity, a missing
+  // 'k' (k = 0), and a vertex count over the ceiling. (One vertex over
+  // rather than the 4e8 that exhausted memory, so a regression of the
+  // ceiling costs this test about half a gigabyte, not the machine.)
+  writeFrame(In, FrameType::Request,
+             "rcq 1\nspec irc\ninstance\nk 3\nn 10\na 8 9 1.0\nn 2\n");
+  writeFrame(In, FrameType::Request,
+             "rcq 1\nspec chordal-thm5\ninstance\nn 0\n");
+  writeFrame(In, FrameType::Request,
+             "rcq 1\nspec briggs\ninstance\nk 3\nn " +
+                 std::to_string(MaxInstanceVertices + 1) + "\n");
   writeFrame(In, FrameType::Request,
              buildRequestPayload(Corpus[0].Problem, "briggs"));
 
@@ -555,10 +580,11 @@ TEST(ServiceLoopTest, MalformedRequestPayloadAnsweredBadRequest) {
       << Error;
 
   std::vector<Frame> Frames = decodeFrames(OS.str());
-  ASSERT_EQ(Frames.size(), 2u);
-  EXPECT_EQ(statusOf(Frames[0]), "bad-request");
-  EXPECT_EQ(statusOf(Frames[1]), "ok");
-  EXPECT_EQ(Service.stats().BadRequests, 1u);
+  ASSERT_EQ(Frames.size(), 5u);
+  for (size_t I = 0; I < 4; ++I)
+    EXPECT_EQ(statusOf(Frames[I]), "bad-request") << Frames[I].Payload;
+  EXPECT_EQ(statusOf(Frames[4]), "ok");
+  EXPECT_EQ(Service.stats().BadRequests, 4u);
 }
 
 TEST(ServiceLoopTest, OversizedFramesAnsweredBadRequestAndSkipped) {
